@@ -194,15 +194,20 @@ net-chaos:
 # WAL write or at one of the checkpoint writer's fault points
 # (mid-write, pre-rename, post-rename, mid-truncate), then recovering
 # from checkpoint + WAL tail and diffing the database against the
-# sequential model. Always under -race; -short trims to 8 seeds.
+# sequential model. Always under -race; -short trims to 8 seeds. The
+# recovery example then runs its bit-identical restart checks (value
+# log from checkpoint + WAL tail, command replay, crash salvage).
 recovery-torture:
 	$(GO) test -race -run 'RecoveryTorture' .
+	$(GO) run ./examples/recovery
 
 # restart-smoke is the end-to-end instant-restart check: boot a durable
 # YCSB server (the 100k-row populate is 100k committed transactions),
 # let the online checkpointer publish, kill -9 mid-flight, restart with
 # salvage against the same WAL directory, and require the recovery
-# report to show a checkpoint restore plus tail-only replay.
+# report to show a checkpoint restore plus tail-only replay, with the
+# epoch seeded above the image's watermark (new commits must not land
+# where the next boot skips them as already imaged).
 SMOKE_ADDR ?= 127.0.0.1:17717
 SMOKE_WAL ?= /tmp/thedb-restart-smoke
 restart-smoke:
@@ -230,6 +235,11 @@ restart-smoke:
 	test -n "$$ok" || { echo "restart-smoke: no recovery report"; cat /tmp/thedb-smoke2.log; exit 1; }; \
 	grep 'thedb-server: recovery' /tmp/thedb-smoke2.log | grep -q '"checkpoint"' \
 		|| { echo "restart-smoke: restart did not load a checkpoint"; cat /tmp/thedb-smoke2.log; exit 1; }; \
+	line=$$(grep 'thedb-server: recovery' /tmp/thedb-smoke2.log); \
+	seeded=$$(echo "$$line" | sed -n 's/.*"seeded_epoch":\([0-9]*\).*/\1/p'); \
+	wm=$$(echo "$$line" | sed -n 's/.*"watermark_epoch":\([0-9]*\).*/\1/p'); \
+	test -n "$$seeded" && test -n "$$wm" && test "$$seeded" -gt "$$wm" \
+		|| { echo "restart-smoke: seeded epoch $$seeded not above watermark $$wm"; exit 1; }; \
 	echo "restart-smoke: crash restart restored checkpoint + WAL tail"; \
 	grep 'thedb-server: recovery' /tmp/thedb-smoke2.log
 

@@ -2,12 +2,10 @@ package thedb
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"thedb/internal/checkpoint"
 	"thedb/internal/metrics"
-	"thedb/internal/wal"
 )
 
 // WALSet manages a directory of per-worker WAL generation files. Open
@@ -19,13 +17,10 @@ type WALSet = checkpoint.FileSet
 // CheckpointInfo describes a published or loaded checkpoint image.
 type CheckpointInfo = checkpoint.Info
 
-// BootReport is the structured recovery summary a server emits at
-// boot (see cmd/thedb-server and /debug/recovery).
-type BootReport = checkpoint.BootReport
-
 // OpenWALSet opens (or creates) dir as a WAL generation directory:
-// existing generation files become the recovery tail (BootStreams),
-// and a fresh generation is created for each worker's live stream.
+// existing generation files become the recovery tail DB.Recover
+// replays, and a fresh generation is created for each worker's live
+// stream.
 func OpenWALSet(dir string, workers int) (*WALSet, error) {
 	return checkpoint.OpenFileSet(dir, workers, nil)
 }
@@ -34,74 +29,46 @@ func OpenWALSet(dir string, workers int) (*WALSet, error) {
 // served as thedb_checkpoint_* by the obs plane).
 func (db *DB) CheckpointStats() *metrics.Checkpoint { return &db.ckstats }
 
-// SeedEpoch fast-forwards the global epoch to at least epoch. Callers
-// restoring state from a checkpoint or raw streams (RecoverFromWith
-// does this itself) must seed past the highest recovered commit epoch
-// before serving: the epoch counter restarts at 1 in every process,
-// and a commit inheriting a recovered record's far-higher epoch would
-// otherwise sit above every seal the advancer writes and be dropped by
-// the next salvage.
-func (db *DB) SeedEpoch(epoch uint32) {
+// checkpointer builds a Checkpointer over this database, publishing
+// into the WAL set's directory. A running engine gets online rounds,
+// which need value logging (a fuzzy image plus command replay
+// double-executes procedures; value replay is idempotent under the
+// Thomas write rule), gate publication on the live durability
+// frontier, and rotate and truncate the WAL set. A stopped or
+// not-yet-started engine gets a quiesced round.
+func (db *DB) checkpointer(interval time.Duration) (*checkpoint.Checkpointer, error) {
 	db.ensureEngines()
-	if db.eng != nil {
-		db.eng.SeedEpoch(epoch)
+	switch {
+	case db.deng != nil:
+		return nil, fmt.Errorf("thedb: checkpointing is not supported on the deterministic engine")
+	case db.cfg.WALSet == nil:
+		return nil, fmt.Errorf("thedb: checkpoints require Config.WALSet")
 	}
+	src := checkpoint.Source{Catalog: db.catalog, CurrentEpoch: db.eng.Epoch().Current, Quiesced: !db.started}
+	opt := checkpoint.Options{Dir: db.cfg.WALSet.Dir(), Interval: interval, Stats: &db.ckstats}
+	if db.started {
+		if db.cfg.LogMode == CommandLogging {
+			return nil, fmt.Errorf("thedb: online checkpoint requires value logging (command replay of a fuzzy image is not idempotent)")
+		}
+		src.DurableEpoch, src.DurabilityLost = db.eng.DurableEpoch, db.eng.DurabilityLost
+		opt.Files, opt.Log = db.cfg.WALSet, db.logger
+	}
+	return checkpoint.New(src, opt)
 }
 
-// checkpointSource builds the engine surface the checkpointer
-// snapshots, validating that an online checkpoint is safe: value
-// logging only (a fuzzy image plus command replay double-executes
-// procedures; value replay is idempotent under the Thomas write rule)
-// and a live durability frontier to gate publication on.
-func (db *DB) checkpointSource() (checkpoint.Source, error) {
-	db.ensureEngines()
-	if db.deng != nil {
-		return checkpoint.Source{}, fmt.Errorf("thedb: checkpointing is not supported on the deterministic engine")
-	}
-	src := checkpoint.Source{Catalog: db.catalog, CurrentEpoch: db.eng.Epoch().Current}
-	if !db.started {
-		src.Quiesced = true
-		return src, nil
-	}
-	if db.logger == nil {
-		return src, fmt.Errorf("thedb: online checkpoint requires durability (Config.LogSink or Config.WALSet)")
-	}
-	if db.cfg.LogMode == CommandLogging {
-		return src, fmt.Errorf("thedb: online checkpoint requires value logging (command replay of a fuzzy image is not idempotent)")
-	}
-	src.DurableEpoch = db.eng.DurableEpoch
-	src.DurabilityLost = db.eng.DurabilityLost
-	return src, nil
-}
-
-// checkpointOptions wires the WAL set (rotation + truncation) into a
-// round when the logger is live to rotate.
-func (db *DB) checkpointOptions(dir string) checkpoint.Options {
-	opt := checkpoint.Options{Dir: dir, Stats: &db.ckstats}
-	if db.started && db.cfg.WALSet != nil && db.logger != nil {
-		opt.Files = db.cfg.WALSet
-		opt.Log = db.logger
-	}
-	return opt
-}
-
-// Checkpoint takes one checkpoint round into dir: scan every table,
-// publish checkpoint-<seq>.ckpt crash-atomically (temp file, fsync,
-// rename), prune to the two newest images, and — when running with a
-// WALSet — rotate the log onto a fresh generation and delete
-// generations the new watermark covers.
+// Checkpoint takes one checkpoint round into the WAL set's directory
+// (Config.WALSet is required): scan every table, publish
+// checkpoint-<seq>.ckpt crash-atomically (temp file, fsync, rename),
+// prune to the two newest images, rotate the log onto a fresh
+// generation, and delete generations the new watermark covers.
 //
 // Running engine: the scan is online (no stall; per-record seqlock
 // snapshots) and the image is published only once every epoch it may
 // contain is durable in the WAL. Stopped or not-yet-started engine:
 // the scan is trivially consistent and the watermark is the current
 // epoch.
-func (db *DB) Checkpoint(dir string) (*CheckpointInfo, error) {
-	src, err := db.checkpointSource()
-	if err != nil {
-		return nil, err
-	}
-	c, err := checkpoint.New(src, db.checkpointOptions(dir))
+func (db *DB) Checkpoint() (*CheckpointInfo, error) {
+	c, err := db.checkpointer(0)
 	if err != nil {
 		return nil, err
 	}
@@ -111,7 +78,7 @@ func (db *DB) Checkpoint(dir string) (*CheckpointInfo, error) {
 	}
 	// A quiesced round cannot rotate a stopped logger; closed
 	// generations below the watermark are still safe to drop.
-	if src.Quiesced && db.cfg.WALSet != nil {
+	if !db.started {
 		if _, terr := db.cfg.WALSet.Truncate(info.Watermark, nil); terr != nil {
 			return info, terr
 		}
@@ -124,20 +91,14 @@ func (db *DB) Checkpoint(dir string) (*CheckpointInfo, error) {
 // must be started with value logging. Stop it via StopCheckpoints or
 // Close. Round failures are counted in CheckpointStats and retried
 // next tick.
-func (db *DB) CheckpointEvery(dir string, interval time.Duration) error {
+func (db *DB) CheckpointEvery(interval time.Duration) error {
 	if !db.started {
 		return fmt.Errorf("thedb: CheckpointEvery requires a started database")
 	}
 	if db.ck != nil {
 		return fmt.Errorf("thedb: a background checkpointer is already running")
 	}
-	src, err := db.checkpointSource()
-	if err != nil {
-		return err
-	}
-	opt := db.checkpointOptions(dir)
-	opt.Interval = interval
-	c, err := checkpoint.New(src, opt)
+	c, err := db.checkpointer(interval)
 	if err != nil {
 		return err
 	}
@@ -155,27 +116,4 @@ func (db *DB) StopCheckpoints() {
 		db.ck.Stop()
 		db.ck = nil
 	}
-}
-
-// RestoreCheckpoint loads the newest valid checkpoint image from dir
-// into this (schema-complete, data-empty) database. Images are tried
-// newest first; a damaged one is skipped in favor of its predecessor,
-// whose missing suffix the WAL tail replay supplies. Returns
-// (nil, nil) when dir holds no images — a fresh start.
-func (db *DB) RestoreCheckpoint(dir string) (*CheckpointInfo, error) {
-	return checkpoint.LoadNewest(db.catalog, dir)
-}
-
-// WriteCheckpoint writes a transaction-consistent snapshot of all
-// visible records in the legacy single-stream format. The caller must
-// quiesce transactions first. Prefer Checkpoint, which owns placement,
-// atomic publication and retention.
-func (db *DB) WriteCheckpoint(w io.Writer) error {
-	return wal.Checkpoint(db.catalog, w)
-}
-
-// LoadCheckpoint restores a legacy-format snapshot (WriteCheckpoint)
-// into this (empty) database.
-func (db *DB) LoadCheckpoint(r io.Reader) error {
-	return wal.LoadCheckpoint(db.catalog, r)
 }

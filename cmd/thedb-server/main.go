@@ -37,10 +37,11 @@
 //	-sb.accounts N      Smallbank account count (default 10000)
 //
 // With -wal.dir the server is restartable with instant-restart
-// semantics: boot loads the newest valid checkpoint image (falling
-// back to its predecessor if the newest is damaged) and replays only
-// the WAL tail — the commit groups above the checkpoint's watermark
-// epoch — so restart time tracks the tail, not the database's history.
+// semantics: boot (DB.Recover) loads the newest valid checkpoint image
+// (falling back to its predecessor if the newest is damaged) and
+// replays only the WAL tail — the commit groups above the checkpoint's
+// watermark epoch — so restart time tracks the tail, not the
+// database's history.
 // While serving, a background checkpointer publishes fresh images
 // crash-atomically and deletes WAL generations the watermark covers.
 // Every transaction acknowledged before a drain (or, with
@@ -62,6 +63,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -124,13 +126,16 @@ func main() {
 	}
 	setupSchema(db, *workload)
 
-	var report *thedb.BootReport
+	var report *thedb.RecoveryReport
 	if fs != nil {
-		report, err = recover_(db, fs, *walDir, *walSalvage)
-		if err != nil {
+		report, err = db.Recover(nil, thedb.RecoverOptions{Salvage: *walSalvage})
+		var damage *thedb.CorruptionError
+		if errors.As(err, &damage) {
+			fatalf("recovery: %v (rerun with -wal.salvage to restore the committed prefix of a crashed log)", err)
+		} else if err != nil {
 			fatalf("recovery: %v", err)
 		}
-		if report.CheckpointPath == "" && report.GroupsApplied == 0 && report.CommandsReplayed == 0 {
+		if report.CheckpointPath == "" && report.AppliedGroups == 0 && report.CommandsReplayed == 0 {
 			// Nothing on disk: first boot, load the baseline rows.
 			if err := populate(db, *workload, *ycsbRecords, *sbAccounts); err != nil {
 				fatalf("populating %s: %v", *workload, err)
@@ -146,7 +151,7 @@ func main() {
 	if fs != nil && *ckEvery > 0 {
 		if cfg.LogMode == thedb.CommandLogging {
 			fmt.Fprintln(os.Stderr, "thedb-server: online checkpoints need value logging; relying on the drain checkpoint only")
-		} else if err := db.CheckpointEvery(*walDir, *ckEvery); err != nil {
+		} else if err := db.CheckpointEvery(*ckEvery); err != nil {
 			fatalf("checkpointer: %v", err)
 		}
 	}
@@ -157,7 +162,7 @@ func main() {
 		plane := db.ObsPlane()
 		plane.SetServerStats(srv.Stats())
 		if report != nil {
-			plane.SetBootReport(report)
+			plane.SetRecoveryReport(report)
 		}
 		osrv, err := obs.StartServer(*obsAddr, plane.Handler())
 		if err != nil {
@@ -206,7 +211,7 @@ func main() {
 		// Final quiesced checkpoint: the next boot replays (almost) no
 		// tail, making the restart instant regardless of this run's
 		// history.
-		if info, err := db.Checkpoint(*walDir); err != nil {
+		if info, err := db.Checkpoint(); err != nil {
 			fmt.Fprintln(os.Stderr, "thedb-server: drain checkpoint:", err)
 		} else {
 			fmt.Fprintf(os.Stderr, "thedb-server: drain checkpoint %s (watermark epoch %d, %d rows)\n",
@@ -217,79 +222,6 @@ func main() {
 		}
 	}
 	fmt.Fprintln(os.Stderr, "thedb-server: drained; WAL sealed and synced")
-}
-
-// recover_ restores the database from walDir: the newest valid
-// checkpoint image (if any) plus the WAL tail above its watermark.
-// It seeds the epoch past everything recovered, bounds the adopted
-// generations for later truncation, and fills the boot report and
-// restart metrics.
-func recover_(db *thedb.DB, fs *thedb.WALSet, walDir string, salvage bool) (*thedb.BootReport, error) {
-	start := time.Now()
-	report := &thedb.BootReport{Salvaged: salvage}
-
-	info, err := db.RestoreCheckpoint(walDir)
-	if err != nil {
-		return nil, err
-	}
-	var fromEpoch, seed uint32
-	if info != nil {
-		report.CheckpointPath = info.Path
-		report.CheckpointSeq = info.Seq
-		report.Watermark = info.Watermark
-		report.CheckpointRows = info.Rows
-		fromEpoch = info.Watermark
-		seed = max32(info.Watermark, info.MaxRowEpoch)
-	}
-
-	streams, closeAll, err := fs.BootStreams()
-	if err != nil {
-		return nil, err
-	}
-	report.Streams = len(streams)
-	rep, err := db.RecoverFromWith(nil, streams, thedb.RecoverOptions{
-		Salvage:   salvage,
-		FromEpoch: fromEpoch,
-	})
-	if cerr := closeAll(); cerr != nil && err == nil {
-		err = cerr
-	}
-	if err != nil {
-		if rep == nil {
-			return nil, fmt.Errorf("%w (rerun with -wal.salvage to restore the committed prefix of a crashed log)", err)
-		}
-		return nil, err
-	}
-	report.GroupsApplied = rep.AppliedGroups
-	report.GroupsSkipped = rep.SkippedGroups
-	report.GroupsDropped = rep.DroppedGroups
-	report.TornTails = rep.TornGroups
-	report.CommandsReplayed = len(rep.Commands)
-	report.DurableEpoch = rep.DurableEpoch
-	for i := range rep.Damage {
-		report.Damage = append(report.Damage, rep.Damage[i].Error())
-	}
-
-	seed = max32(seed, rep.MaxEpoch)
-	if seed > 0 {
-		db.SeedEpoch(seed + 1)
-		report.SeededEpoch = seed + 1
-	}
-	// The adopted generations' groups all sit at or below seed: a
-	// watermark of seed or higher proves them redundant.
-	fs.SetRecoveredMax(seed)
-
-	report.WallMS = float64(time.Since(start).Microseconds()) / 1000
-	db.CheckpointStats().SetRestart(time.Since(start).Nanoseconds(),
-		int64(rep.AppliedGroups), int64(rep.SkippedGroups))
-	return report, nil
-}
-
-func max32(a, b uint32) uint32 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // setupSchema creates the tables and registers the procedure catalog

@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"thedb/internal/checkpoint"
 	"thedb/internal/wal"
 )
 
@@ -107,7 +108,7 @@ func bankDB(t testing.TB, cfg Config) *DB {
 func checkpointOf(t testing.TB, db *DB) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := db.WriteCheckpoint(&buf); err != nil {
+	if _, _, _, err := checkpoint.Write(&buf, db.catalog, 0, checkpoint.Scan(db.catalog), nil); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -182,7 +183,7 @@ func sealPrefix(frames []wal.FrameInfo) []uint32 {
 func verifySalvage(t *testing.T, stream []byte, wantEpoch uint32, shadow map[uint32][]byte, label string) *RecoveryReport {
 	t.Helper()
 	fresh := bankDB(t, Config{Protocol: Healing, Workers: 1})
-	rep, err := fresh.RecoverWith([]io.Reader{bytes.NewReader(stream)}, RecoverOptions{Salvage: true})
+	rep, err := fresh.Recover([]io.Reader{bytes.NewReader(stream)}, RecoverOptions{Salvage: true})
 	if err != nil {
 		t.Fatalf("%s: salvage failed: %v", label, err)
 	}
@@ -242,7 +243,7 @@ func TestCrashTortureRandomCorruption(t *testing.T) {
 
 		// Strict mode: precise damage report, catalog untouched.
 		fresh := bankDB(t, Config{Protocol: Healing, Workers: 1})
-		_, serr := fresh.RecoverWith([]io.Reader{bytes.NewReader(corrupt)}, RecoverOptions{})
+		_, serr := fresh.Recover([]io.Reader{bytes.NewReader(corrupt)}, RecoverOptions{})
 		var ce *CorruptionError
 		if !errors.As(serr, &ce) {
 			t.Fatalf("%s: strict error = %v, want *CorruptionError", label, serr)
@@ -349,7 +350,7 @@ func TestCrashTortureMultiStream(t *testing.T) {
 
 	// Strict recovery names the damaged stream and its offset.
 	strictDB := bankDB(t, Config{Protocol: Healing, Workers: 1})
-	_, serr := strictDB.RecoverWith(streamsFor(), RecoverOptions{})
+	_, serr := strictDB.Recover(streamsFor(), RecoverOptions{})
 	var ce *CorruptionError
 	if !errors.As(serr, &ce) {
 		t.Fatalf("strict error = %v, want *CorruptionError", serr)
@@ -362,7 +363,7 @@ func TestCrashTortureMultiStream(t *testing.T) {
 	// Salvage restores an epoch-consistent prefix: whole transactions
 	// only, so money is conserved no matter where the cut landed.
 	salvageDB := bankDB(t, Config{Protocol: Healing, Workers: 1})
-	rep, err := salvageDB.RecoverFromWith(nil, streamsFor(), RecoverOptions{Salvage: true})
+	rep, err := salvageDB.Recover(streamsFor(), RecoverOptions{Salvage: true})
 	if err != nil {
 		t.Fatal(err)
 	}

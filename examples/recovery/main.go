@@ -1,12 +1,12 @@
-// Recovery demonstrates THEDB's durability path (paper Appendix C):
-// run transactions with value logging and periodic checkpointing,
-// simulate a crash, then rebuild the database from the checkpoint
-// plus the log tail and verify the recovered state is bit-identical.
-// It repeats the exercise with command logging, where recovery
-// re-executes the logged procedure calls instead of applying
-// after-images, and finishes with a salvage demo: a log torn
-// mid-frame by a crash is recovered back to its epoch-consistent
-// committed prefix.
+// Recovery demonstrates THEDB's durability path (paper Appendix C),
+// all through DB.Recover: run transactions with value logging into a
+// WAL set on disk with an online checkpoint mid-run, shut down, then
+// restart from the checkpoint image plus the WAL tail and verify the
+// recovered state is bit-identical. It repeats the exercise with
+// command logging, where recovery re-executes the logged procedure
+// calls instead of applying after-images, and finishes with a salvage
+// demo: a log torn mid-frame by a crash is recovered back to its
+// epoch-consistent committed prefix.
 //
 //	go run ./examples/recovery
 package main
@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"os"
 	"time"
 
 	"thedb"
@@ -26,13 +27,11 @@ const accounts = 16
 // workers each get a private log stream; sinks must never be shared.
 const workers = 2
 
-func build(logMode thedb.LogMode, sink func(int) io.Writer) *thedb.DB {
-	db, err := thedb.Open(thedb.Config{
-		Protocol: thedb.Healing,
-		Workers:  workers,
-		LogSink:  sink,
-		LogMode:  logMode,
-	})
+// build opens a database with cfg's durability settings and creates
+// the ACCOUNTS schema and Deposit procedure.
+func build(cfg thedb.Config) *thedb.DB {
+	cfg.Protocol, cfg.Workers = thedb.Healing, workers
+	db, err := thedb.Open(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -93,17 +92,34 @@ func streamsOf(logBufs []bytes.Buffer) []io.Reader {
 	return rs
 }
 
-func demo(mode thedb.LogMode) {
-	fmt.Printf("--- %s logging ---\n", mode)
-	logBufs := make([]bytes.Buffer, workers)
-	db := build(mode, func(i int) io.Writer { return &logBufs[i] })
+// valueDemo logs after-images into a WAL set on disk, takes an online
+// checkpoint mid-run, and restarts from the checkpoint image plus the
+// WAL tail above its watermark.
+func valueDemo() {
+	fmt.Println("--- value logging ---")
+	dir, err := os.MkdirTemp("", "thedb-recovery-")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+
+	fs, err := thedb.OpenWALSet(dir, workers)
+	if err != nil {
+		log.Fatal(err)
+	}
+	db := build(thedb.Config{LogMode: thedb.ValueLogging, WALSet: fs, EpochInterval: time.Millisecond})
 	populate(db)
 	db.Start()
 
-	// Phase 1: work, then checkpoint.
-	runWorkload(db, 300)
-	var checkpoint bytes.Buffer
-	if err := db.WriteCheckpoint(&checkpoint); err != nil {
+	// Phase 1: work paced across epochs, then an online checkpoint (no
+	// stall; the image is published once every epoch it may contain is
+	// durable, and its watermark is the durable epoch at scan start).
+	for batch := 0; batch < 3; batch++ {
+		runWorkload(db, 100)
+		time.Sleep(5 * time.Millisecond)
+	}
+	info, err := db.Checkpoint()
+	if err != nil {
 		log.Fatal(err)
 	}
 
@@ -113,56 +129,73 @@ func demo(mode thedb.LogMode) {
 	if err := db.Close(); err != nil {
 		log.Fatal(err)
 	}
-
-	var before bytes.Buffer
-	if err := db.WriteCheckpoint(&before); err != nil {
+	if err := fs.Close(); err != nil {
 		log.Fatal(err)
 	}
 
-	// Recovery: checkpoint + the log written after it. With value
-	// logging, replaying the WHOLE log over the checkpoint is also
-	// correct — the Thomas write rule discards entries the checkpoint
-	// already contains. We use the full log here, which exercises
-	// exactly that property.
-	db2 := build(mode, nil)
-	if mode == thedb.CommandLogging {
-		// Command replay needs the initial state (commands rebuild
-		// everything from it).
-		populate(db2)
-		if err := db2.RecoverFrom(nil, streamsOf(logBufs)); err != nil {
-			log.Fatal(err)
-		}
-	} else {
-		if err := db2.RecoverFrom(bytes.NewReader(checkpoint.Bytes()), streamsOf(logBufs)); err != nil {
-			log.Fatal(err)
-		}
+	// Restart: the image restores the baseline and phase 1; only the
+	// WAL groups above its watermark are replayed on top.
+	fs2, err := thedb.OpenWALSet(dir, workers)
+	if err != nil {
+		log.Fatal(err)
+	}
+	db2 := build(thedb.Config{LogMode: thedb.ValueLogging, WALSet: fs2})
+	rep, err := db2.Recover(nil, thedb.RecoverOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := db2.Close(); err != nil {
+		log.Fatal(err)
+	}
+	if err := fs2.Close(); err != nil {
+		log.Fatal(err)
+	}
+
+	// Value replay installs the logged after-images with their
+	// original commit timestamps: every row must match bit for bit.
+	if !sameState(db, db2, true) {
+		log.Fatal("RECOVERY MISMATCH (value log)")
+	}
+	fmt.Printf("recovered state identical (checkpoint: %d rows at watermark epoch %d; WAL tail: %d groups applied, %d skipped)\n",
+		info.Rows, rep.Watermark, rep.AppliedGroups, rep.SkippedGroups)
+}
+
+// commandDemo logs procedure calls into in-memory streams and rebuilds
+// the database by re-executing them over the initial state.
+func commandDemo() {
+	fmt.Println("--- command logging ---")
+	logBufs := make([]bytes.Buffer, workers)
+	db := build(thedb.Config{LogMode: thedb.CommandLogging, LogSink: func(i int) io.Writer { return &logBufs[i] }})
+	populate(db)
+	db.Start()
+	runWorkload(db, 500)
+	if err := db.Close(); err != nil {
+		log.Fatal(err)
+	}
+
+	// Command replay needs the initial state (commands rebuild
+	// everything from it).
+	db2 := build(thedb.Config{LogMode: thedb.CommandLogging})
+	populate(db2)
+	rep, err := db2.Recover(streamsOf(logBufs), thedb.RecoverOptions{})
+	if err != nil {
+		log.Fatal(err)
 	}
 	if err := db2.Close(); err != nil {
 		log.Fatal(err)
 	}
 
-	if mode == thedb.CommandLogging {
-		// Command replay re-executes the procedures, assigning fresh
-		// commit timestamps, so compare data rather than checkpoint
-		// images (which embed timestamps).
-		if !sameBalances(db, db2) {
-			log.Fatal("RECOVERY MISMATCH (command replay)")
-		}
-	} else {
-		var after bytes.Buffer
-		if err := db2.WriteCheckpoint(&after); err != nil {
-			log.Fatal(err)
-		}
-		if !bytes.Equal(before.Bytes(), after.Bytes()) {
-			log.Fatal("RECOVERY MISMATCH (value log)")
-		}
+	// Command replay re-executes the procedures, assigning fresh
+	// commit timestamps, so compare data rather than timestamps.
+	if !sameState(db, db2, false) {
+		log.Fatal("RECOVERY MISMATCH (command replay)")
 	}
 	var logBytes int
 	for i := range logBufs {
 		logBytes += logBufs[i].Len()
 	}
-	fmt.Printf("recovered state identical (%d log bytes, %d checkpoint bytes)\n",
-		logBytes, checkpoint.Len())
+	fmt.Printf("recovered state identical (%d commands replayed from %d log bytes)\n",
+		rep.CommandsReplayed, logBytes)
 }
 
 // salvageDemo crashes mid-write: one stream loses its tail mid-frame.
@@ -171,7 +204,7 @@ func demo(mode thedb.LogMode) {
 func salvageDemo() {
 	fmt.Println("--- crash salvage ---")
 	logBufs := make([]bytes.Buffer, workers)
-	db := build(thedb.ValueLogging, func(i int) io.Writer { return &logBufs[i] })
+	db := build(thedb.Config{LogMode: thedb.ValueLogging, LogSink: func(i int) io.Writer { return &logBufs[i] }})
 	populate(db)
 	db.Start()
 	// Pace the workload across several epochs so the streams carry
@@ -194,17 +227,17 @@ func salvageDemo() {
 		return rs
 	}
 
-	strictDB := build(thedb.ValueLogging, nil)
+	strictDB := build(thedb.Config{})
 	populate(strictDB)
-	if _, err := strictDB.RecoverWith(streams(), thedb.RecoverOptions{}); err != nil {
+	if _, err := strictDB.Recover(streams(), thedb.RecoverOptions{}); err != nil {
 		fmt.Printf("strict mode refuses the damaged log:\n  %v\n", err)
 	} else {
 		log.Fatal("strict recovery accepted a torn log")
 	}
 
-	salvageDB := build(thedb.ValueLogging, nil)
+	salvageDB := build(thedb.Config{})
 	populate(salvageDB)
-	rep, err := salvageDB.RecoverWith(streams(), thedb.RecoverOptions{Salvage: true})
+	rep, err := salvageDB.Recover(streams(), thedb.RecoverOptions{Salvage: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -218,13 +251,18 @@ func salvageDemo() {
 	}
 }
 
-func sameBalances(a, b *thedb.DB) bool {
+// sameState reports whether both databases hold the same balances
+// and, with withTS, the same commit timestamps on every account.
+func sameState(a, b *thedb.DB, withTS bool) bool {
 	ta, _ := a.Table("ACCOUNTS")
 	tb, _ := b.Table("ACCOUNTS")
 	for k := thedb.Key(0); k < accounts; k++ {
 		ra, _ := ta.Peek(k)
-		rb, _ := tb.Peek(k)
-		if ra.Tuple()[0].Int() != rb.Tuple()[0].Int() {
+		rb, ok := tb.Peek(k)
+		if !ok || ra.Tuple()[0].Int() != rb.Tuple()[0].Int() {
+			return false
+		}
+		if withTS && ra.Timestamp() != rb.Timestamp() {
 			return false
 		}
 	}
@@ -232,7 +270,7 @@ func sameBalances(a, b *thedb.DB) bool {
 }
 
 func main() {
-	demo(thedb.ValueLogging)
-	demo(thedb.CommandLogging)
+	valueDemo()
+	commandDemo()
 	salvageDemo()
 }

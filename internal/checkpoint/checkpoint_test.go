@@ -90,6 +90,21 @@ func TestImageRoundTrip(t *testing.T) {
 	sameCatalog(t, cat, cat2)
 }
 
+func TestImageBytesIndependentOfInsertionOrder(t *testing.T) {
+	build := func(keys []int64) *storage.Catalog {
+		cat := newCatalog()
+		for _, i := range keys {
+			cat.Tables()[0].Put(storage.Key(i), storage.Tuple{storage.Int(i), storage.Str("s")}, storage.MakeTS(1, uint32(i)))
+		}
+		return cat
+	}
+	a := imageBytes(t, build([]int64{5, 1, 9, 3}), 1)
+	b := imageBytes(t, build([]int64{3, 9, 1, 5}), 1)
+	if !bytes.Equal(a, b) {
+		t.Fatal("image bytes depend on insertion order")
+	}
+}
+
 func TestImageSkipsInvisibleRows(t *testing.T) {
 	cat := newCatalog()
 	fill(cat, 10)
@@ -380,7 +395,7 @@ func TestFileSetRotateAndTruncate(t *testing.T) {
 		t.Fatalf("boot streams = %d, want 2", len(streams))
 	}
 	cat := newCatalog()
-	rep, err := wal.RecoverStreams(cat, streams, wal.RecoverOptions{})
+	rep, err := wal.RecoverStreams(cat, streams, wal.RecoverOptions{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -443,23 +443,3 @@ func loadFile(catalog *storage.Catalog, path string) (*Info, error) {
 	defer f.Close() //thedb:nolint:syncerr read-only fd; nothing to lose on close
 	return Load(catalog, bufio.NewReaderSize(f, 1<<15))
 }
-
-// BootReport is the structured one-line recovery summary a server
-// prints at boot and serves at /debug/recovery.
-type BootReport struct {
-	CheckpointPath   string   `json:"checkpoint,omitempty"`
-	CheckpointSeq    uint64   `json:"checkpoint_seq,omitempty"`
-	Watermark        uint32   `json:"watermark_epoch"`
-	CheckpointRows   int64    `json:"checkpoint_rows"`
-	Streams          int      `json:"wal_streams"`
-	GroupsApplied    int      `json:"groups_applied"`
-	GroupsSkipped    int      `json:"groups_skipped"`
-	GroupsDropped    int      `json:"groups_dropped"`
-	TornTails        int      `json:"torn_tails"`
-	CommandsReplayed int      `json:"commands_replayed"`
-	DurableEpoch     uint32   `json:"durable_epoch"`
-	SeededEpoch      uint32   `json:"seeded_epoch"`
-	Salvaged         bool     `json:"salvaged"`
-	Damage           []string `json:"damage,omitempty"`
-	WallMS           float64  `json:"wall_ms"`
-}

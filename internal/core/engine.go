@@ -396,10 +396,6 @@ func (e *Engine) DurableEpoch() uint32 { return e.durableEpoch.Load() }
 // epochs is no longer guaranteed.
 func (e *Engine) DurabilityLost() bool { return e.durabilityLost.Load() }
 
-// SeedEpoch fast-forwards the global epoch to at least epoch (see
-// EpochManager.SeedTo). Call after recovery, before serving resumes.
-func (e *Engine) SeedEpoch(epoch uint32) { e.epoch.SeedTo(epoch) }
-
 // Catalog returns the engine's catalog.
 func (e *Engine) Catalog() *storage.Catalog { return e.catalog }
 

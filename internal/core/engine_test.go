@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"thedb/internal/checkpoint"
 	"thedb/internal/proc"
 	"thedb/internal/storage"
 	"thedb/internal/wal"
@@ -236,7 +237,7 @@ func TestRecoveryMatchesLiveState(t *testing.T) {
 	e.Stop() // flushes the logs
 
 	var live bytes.Buffer
-	if err := wal.Checkpoint(cat, &live); err != nil {
+	if _, _, _, err := checkpoint.Write(&live, cat, 0, checkpoint.Scan(cat), nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -261,11 +262,11 @@ func TestRecoveryMatchesLiveState(t *testing.T) {
 	for _, i := range []int{3, 1, 2, 0} {
 		streams = append(streams, bytes.NewReader(logs[i].Bytes()))
 	}
-	if _, err := wal.Recover(cat2, streams); err != nil {
+	if _, err := wal.RecoverStreams(cat2, streams, wal.RecoverOptions{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	var recovered bytes.Buffer
-	if err := wal.Checkpoint(cat2, &recovered); err != nil {
+	if _, _, _, err := checkpoint.Write(&recovered, cat2, 0, checkpoint.Scan(cat2), nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(live.Bytes(), recovered.Bytes()) {
@@ -423,12 +424,12 @@ func TestCommitTimestampsUniqueUnderConcurrency(t *testing.T) {
 
 	seen := make(map[uint64]int)
 	for wi := range logs {
-		cmds, err := wal.Recover(storage.NewCatalog(), []io.Reader{bytes.NewReader(logs[wi].Bytes())})
+		res, err := wal.RecoverStreams(storage.NewCatalog(), []io.Reader{bytes.NewReader(logs[wi].Bytes())}, wal.RecoverOptions{}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var prev uint64
-		for _, c := range cmds {
+		for _, c := range res.Commands {
 			if c.TS <= prev {
 				t.Fatalf("worker %d: non-increasing commit ts %d after %d", wi, c.TS, prev)
 			}

@@ -19,6 +19,10 @@ const (
 // transactions, which only respect the record meta lock; that leg
 // therefore locks through the meta word (exclusive only) so the two
 // protocols serialize against each other.
+//
+// Each new acquisition re-reads the R-timestamp: acquire captured it
+// before the lock, and a commit landing in between would leave the
+// footprint naming an older version than the one read under the lock.
 func (t *Txn) tplLock(el *Element, write bool) error {
 	if t.tplMeta {
 		if el.locked {
@@ -32,6 +36,7 @@ func (t *Txn) tplLock(el *Element, write bool) error {
 			if el.rec.TryLock() {
 				el.locked = true
 				t.locked = append(t.locked, el)
+				el.rts, _, el.seenVisible = el.rec.Meta()
 				return nil
 			}
 			if i%8 == 7 {
@@ -49,6 +54,7 @@ func (t *Txn) tplLock(el *Element, write bool) error {
 			return errRestart
 		}
 		el.tplMode = tplR
+		el.rts, _, el.seenVisible = el.rec.Meta()
 		return nil
 	}
 	switch el.tplMode {
@@ -65,6 +71,7 @@ func (t *Txn) tplLock(el *Element, write bool) error {
 			return errRestart
 		}
 		el.tplMode = tplW
+		el.rts, _, el.seenVisible = el.rec.Meta()
 		return nil
 	}
 }

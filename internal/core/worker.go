@@ -65,6 +65,16 @@ func newWorker(e *Engine, id int) *Worker {
 // ID returns the worker's index.
 func (w *Worker) ID() int { return w.id }
 
+// Unlogged runs fn with this worker's commits kept out of the
+// write-ahead log (command-log recovery re-executes commands that are
+// still in the log it replays).
+func (w *Worker) Unlogged(fn func() error) error {
+	wlog := w.wlog
+	w.wlog = nil
+	defer func() { w.wlog = wlog }()
+	return fn()
+}
+
 // Metrics returns the worker's collector.
 func (w *Worker) Metrics() *metrics.Worker { return &w.m }
 

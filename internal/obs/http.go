@@ -25,16 +25,16 @@ type Plane struct {
 	tableName atomic.Pointer[func(int) string]
 	srvStats  atomic.Pointer[metrics.Server]
 	ckStats   atomic.Pointer[metrics.Checkpoint]
-	bootRep   atomic.Pointer[bootReport]
+	recovery  atomic.Pointer[recoveryReport]
 	tracer    atomic.Pointer[Tracer]
 	cont      atomic.Pointer[Contention]
 	exemplars atomic.Bool
 }
 
-// bootReport boxes the boot recovery report for atomic swap; the
+// recoveryReport boxes the boot recovery report for atomic swap; the
 // payload is pre-rendered JSON so the plane needs no knowledge of the
 // reporting type.
-type bootReport struct{ json []byte }
+type recoveryReport struct{ json []byte }
 
 // source boxes the snapshot closure (atomic.Pointer needs a concrete
 // pointee type).
@@ -97,19 +97,19 @@ func (p *Plane) SetContention(c *Contention) {
 	p.cont.Store(c)
 }
 
-// SetBootReport attaches the boot recovery report served at
+// SetRecoveryReport attaches the boot recovery report served at
 // /debug/recovery. rep must be JSON-marshalable; a marshal failure is
 // reported by the endpoint, never at set time.
-func (p *Plane) SetBootReport(rep any) {
+func (p *Plane) SetRecoveryReport(rep any) {
 	if rep == nil {
-		p.bootRep.Store(nil)
+		p.recovery.Store(nil)
 		return
 	}
 	b, err := json.Marshal(rep)
 	if err != nil {
 		b = []byte(fmt.Sprintf(`{"error":%q}`, err.Error()))
 	}
-	p.bootRep.Store(&bootReport{json: b})
+	p.recovery.Store(&recoveryReport{json: b})
 }
 
 // Handler returns the exposition mux:
@@ -202,7 +202,7 @@ func (p *Plane) Handler() http.Handler {
 		}
 	})
 	mux.HandleFunc("/debug/recovery", func(w http.ResponseWriter, r *http.Request) {
-		rep := p.bootRep.Load()
+		rep := p.recovery.Load()
 		if rep == nil {
 			http.Error(w, "no recovery report (fresh start or report not attached)", http.StatusNotFound)
 			return

@@ -71,7 +71,6 @@ func (c countConn) Write(p []byte) (int, error) {
 // startConn registers a new connection and launches its goroutine
 // pair.
 func (s *Server) startConn(raw net.Conn) {
-	s.stats.Inc(&s.stats.ConnsOpened)
 	nc := countConn{Conn: raw, stats: s.stats}
 	c := &conn{
 		srv: s,
@@ -80,10 +79,20 @@ func (s *Server) startConn(raw net.Conn) {
 		// rejections so dispatchers almost never block on a slow peer.
 		out: make(chan []byte, s.cfg.PerConnInFlight+16),
 	}
+	// Register under mu, where Shutdown snapshots the connections it
+	// drains: a connection accepted once draining began would join
+	// connWG concurrently with Shutdown's Wait and never be woken.
 	s.mu.Lock()
+	if s.draining.Load() {
+		s.mu.Unlock()
+		cerr := raw.Close()
+		_ = cerr // never served: no response bytes to lose
+		return
+	}
+	s.stats.Inc(&s.stats.ConnsOpened)
 	s.conns[c] = struct{}{}
-	s.mu.Unlock()
 	s.connWG.Add(2)
+	s.mu.Unlock()
 	go c.readLoop()
 	go c.writeLoop()
 }
@@ -163,13 +172,6 @@ func (c *conn) readLoop() {
 			}
 			return
 		}
-		if s.draining.Load() {
-			s.stats.Inc(&s.stats.DrainRejected)
-			c.send(wire.AppendError(nil, f.ID, wire.RemoteError{
-				Code: wire.CodeDraining, Backoff: s.cfg.DrainHint, Msg: "server draining",
-			}))
-			continue
-		}
 		if f.Op != wire.OpCall {
 			s.stats.Inc(&s.stats.BadFrames)
 			c.send(wire.AppendError(nil, f.ID, wire.RemoteError{
@@ -195,20 +197,14 @@ func (c *conn) readLoop() {
 	}
 }
 
-// admit applies the admission policy to one decoded call: shed past
-// the per-connection bound, refuse a dead deadline budget, dedup a
-// retried sequence number, shed when the global queue is full,
-// otherwise hand it to the dispatchers. Shedding always answers with
-// a retryable typed error plus backoff hint — never a silent drop.
+// admit applies the admission policy to one decoded call: refuse a
+// dead deadline budget, dedup a retried sequence number, shed past the
+// per-connection bound, refuse while draining, shed when the global
+// queue is full, otherwise hand it to the dispatchers. Shedding always
+// answers with a retryable typed error plus backoff hint — never a
+// silent drop.
 func (c *conn) admit(id uint64, call wire.Call) {
 	s := c.srv
-	if c.inflight.Load() >= int64(s.cfg.PerConnInFlight) {
-		s.stats.Inc(&s.stats.Shed)
-		c.send(wire.AppendError(nil, id, wire.RemoteError{
-			Code: wire.CodeShed, Backoff: s.cfg.ShedHint, Msg: "connection pipeline full",
-		}))
-		return
-	}
 	req := &request{
 		c: c, id: id, proc: call.Proc, args: call.Args,
 		sess: c.sess, seq: call.Seq, readOnly: call.ReadOnly,
@@ -231,26 +227,22 @@ func (c *conn) admit(id uint64, call wire.Call) {
 		return
 	}
 	// Account before offering: a dispatcher may pick the request up
-	// and finish it the instant it lands in the channel.
+	// and finish it the instant it lands in the channel. Accounting
+	// before the draining check below also keeps Shutdown, which sets
+	// the flag and then waits for pending to drain, from missing a
+	// request admitted behind its back.
 	s.pending.Add(1)
 	c.reqs.Add(1)
 	c.inflight.Add(1)
 	s.stats.Add(&s.stats.InFlight, 1)
-	if s.draining.Load() {
-		// Shutdown flipped the flag between the read loop's check and
-		// the increment above. Back out so the drain never waits on —
-		// or worse, misses — a request admitted behind its back. No
-		// dedup entry exists yet, so a plain finish balances.
-		s.finish(c)
-		s.stats.Inc(&s.stats.DrainRejected)
-		c.send(wire.AppendError(nil, id, wire.RemoteError{
-			Code: wire.CodeDraining, Backoff: s.cfg.DrainHint, Msg: "server draining",
-		}))
-		return
-	}
-	// Read-only snapshot calls skip the dedup window: they write
-	// nothing, so re-executing a retry is safe and cheaper than
-	// caching response payloads for it.
+	// Dedup before any refusal. A retried (or duplicated) sequence
+	// number that is executing or done is answered by that one
+	// execution; refusing it instead would tell the client the call
+	// never ran while the original commits, and the client's next
+	// attempt could run it again on a restarted server. Read-only
+	// snapshot calls skip the window: they write nothing, so
+	// re-executing a retry is safe and cheaper than caching response
+	// payloads for it.
 	if c.sess != nil && req.seq != 0 && !req.readOnly {
 		switch verdict, e := c.sess.register(req); verdict {
 		case dedupHit:
@@ -280,6 +272,20 @@ func (c *conn) admit(id uint64, call wire.Call) {
 		case dedupNew:
 			req.entry = e
 		}
+	}
+	switch {
+	case c.inflight.Load() > int64(s.cfg.PerConnInFlight):
+		s.stats.Inc(&s.stats.Shed)
+		s.respond(req, wire.OpError, wire.AppendErrorPayload(nil, wire.RemoteError{
+			Code: wire.CodeShed, Backoff: s.cfg.ShedHint, Msg: "connection pipeline full",
+		}), false)
+		return
+	case s.draining.Load():
+		s.stats.Inc(&s.stats.DrainRejected)
+		s.respond(req, wire.OpError, wire.AppendErrorPayload(nil, wire.RemoteError{
+			Code: wire.CodeDraining, Backoff: s.cfg.DrainHint, Msg: "server draining",
+		}), false)
+		return
 	}
 	select {
 	case s.work <- req:

@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"context"
 	"net"
 	"strings"
 	"testing"
@@ -214,11 +215,9 @@ func TestDedupSurvivesReconnect(t *testing.T) {
 	}
 }
 
-// TestDedupCoalescesConcurrentRetry parks a retry that arrives while
-// the original attempt is still executing: both get the answer of the
-// single execution.
-func TestDedupCoalescesConcurrentRetry(t *testing.T) {
-	db := newKVDB(t, 2, nil)
+// registerSlowInc adds an increment that sleeps ms milliseconds before
+// touching the row, holding its execution open for a racing retry.
+func registerSlowInc(db *thedb.DB) {
 	db.MustRegister(&thedb.Spec{
 		Name:   "SlowInc",
 		Params: []string{"key", "ms"},
@@ -249,6 +248,14 @@ func TestDedupCoalescesConcurrentRetry(t *testing.T) {
 			})
 		},
 	})
+}
+
+// TestDedupCoalescesConcurrentRetry parks a retry that arrives while
+// the original attempt is still executing: both get the answer of the
+// single execution.
+func TestDedupCoalescesConcurrentRetry(t *testing.T) {
+	db := newKVDB(t, 2, nil)
+	registerSlowInc(db)
 	srv, addr := startServer(t, db, server.Config{})
 
 	ncA, frA, w := rawDialSession(t, addr, 0)
@@ -276,6 +283,44 @@ func TestDedupCoalescesConcurrentRetry(t *testing.T) {
 	}
 	if got := srv.Stats().Snapshot().DedupCoalesced; got != 1 {
 		t.Fatalf("DedupCoalesced = %d, want 1", got)
+	}
+}
+
+// TestDedupJoinsRetryWhileDraining: a retry (or a duplicated frame) of
+// a call still executing when shutdown begins must join that execution,
+// not be refused as draining. A draining refusal tells the client the
+// call did not run; it would then re-send to the next incarnation,
+// which has no dedup entry, and apply the call twice.
+func TestDedupJoinsRetryWhileDraining(t *testing.T) {
+	db := newKVDB(t, 2, nil)
+	registerSlowInc(db)
+	srv, addr := startServer(t, db, server.Config{})
+
+	ncA, frA, w := rawDialSession(t, addr, 0)
+	ncB, frB, _ := rawDialSession(t, addr, w.Session)
+	writeFrames(t, ncA, wire.AppendCall(nil, 1, wire.Call{
+		Proc: "SlowInc", Seq: 4, Args: []thedb.Value{thedb.Int(1), thedb.Int(300)},
+	}))
+	time.Sleep(50 * time.Millisecond) // let the original start executing
+	shut := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		shut <- srv.Shutdown(ctx)
+	}()
+	time.Sleep(50 * time.Millisecond) // let the drain begin
+	writeFrames(t, ncB, wire.AppendCall(nil, 2, wire.Call{
+		Proc: "SlowInc", Seq: 4, Args: []thedb.Value{thedb.Int(1), thedb.Int(300)},
+	}))
+
+	if v := resultInt(t, nextFrame(t, frA), "val"); v != 1 {
+		t.Fatalf("original val = %d, want 1", v)
+	}
+	if v := resultInt(t, nextFrame(t, frB), "val"); v != 1 {
+		t.Fatalf("retry during drain val = %d, want 1 (joined, not refused)", v)
+	}
+	if err := <-shut; err != nil {
+		t.Fatalf("shutdown: %v", err)
 	}
 }
 

@@ -152,7 +152,7 @@ func TestGracefulDrain(t *testing.T) {
 	// acknowledged write is present with its last acked value, and
 	// nothing outside the sent set exists.
 	fresh := newKVDB(t, workers, nil)
-	if _, err := fresh.Recover(wal.streams(t)); err != nil {
+	if _, err := fresh.Recover(wal.streams(t), thedb.RecoverOptions{}); err != nil {
 		t.Fatalf("recover: %v", err)
 	}
 	tab, okTab := fresh.Table("KV")

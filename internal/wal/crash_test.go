@@ -73,7 +73,7 @@ func TestSalvageTornTailCutsAtDurableEpoch(t *testing.T) {
 	torn := stream[:last.Offset+3] // mid-header tear of the final seal
 
 	cat := newCatalog()
-	res, err := RecoverStreams(cat, []io.Reader{bytes.NewReader(torn)}, RecoverOptions{Salvage: true})
+	res, err := RecoverStreams(cat, []io.Reader{bytes.NewReader(torn)}, RecoverOptions{Salvage: true}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestStrictErrorLeavesCatalogUntouched(t *testing.T) {
 	corrupt[frameHeaderSize] ^= 0x01 // first payload byte of frame 0
 
 	cat := newCatalog()
-	cmds, err := Recover(cat, []io.Reader{bytes.NewReader(corrupt)})
+	cmds, err := recoverStrict(cat, []io.Reader{bytes.NewReader(corrupt)})
 	if cmds != nil {
 		t.Fatal("strict recovery returned commands alongside an error")
 	}
@@ -116,7 +116,7 @@ func TestStrictErrorLeavesCatalogUntouched(t *testing.T) {
 	// Salvage over the same damage: everything after the corrupt
 	// frame is unreachable, so nothing applies — but it reports
 	// rather than errors.
-	res, err := RecoverStreams(cat, []io.Reader{bytes.NewReader(corrupt)}, RecoverOptions{Salvage: true})
+	res, err := RecoverStreams(cat, []io.Reader{bytes.NewReader(corrupt)}, RecoverOptions{Salvage: true}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestTailVersusMidStreamClassification(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			damaged := tc.mutate(append([]byte(nil), stream...))
-			_, err := Recover(newCatalog(), []io.Reader{bytes.NewReader(damaged)})
+			_, err := recoverStrict(newCatalog(), []io.Reader{bytes.NewReader(damaged)})
 			var ce *CorruptionError
 			if !errors.As(err, &ce) {
 				t.Fatalf("err = %v, want *CorruptionError", err)
@@ -178,7 +178,7 @@ func TestDurableEpochIsMinimumAcrossStreams(t *testing.T) {
 	cat := newCatalog()
 	res, err := RecoverStreams(cat, []io.Reader{
 		bytes.NewReader(a), bytes.NewReader(b), bytes.NewReader(nil), // plus an idle worker's empty stream
-	}, RecoverOptions{Salvage: true})
+	}, RecoverOptions{Salvage: true}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,13 +210,13 @@ func TestStrictRejectsIncompleteCommitGroup(t *testing.T) {
 	_ = wl.Flush() // crash before EndCommit
 
 	cat := newCatalog()
-	_, err := Recover(cat, []io.Reader{bytes.NewReader(buf.Bytes())})
+	_, err := recoverStrict(cat, []io.Reader{bytes.NewReader(buf.Bytes())})
 	var ce *CorruptionError
 	if !errors.As(err, &ce) || !ce.Tail || !strings.Contains(ce.Reason, "incomplete commit group") {
 		t.Fatalf("err = %v, want torn-tail incomplete-commit-group", err)
 	}
 
-	res, err := RecoverStreams(cat, []io.Reader{bytes.NewReader(buf.Bytes())}, RecoverOptions{Salvage: true})
+	res, err := RecoverStreams(cat, []io.Reader{bytes.NewReader(buf.Bytes())}, RecoverOptions{Salvage: true}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestSchemaMismatchRejectedBeforeMutation(t *testing.T) {
 
 	for _, salvage := range []bool{false, true} {
 		cat := newCatalog()
-		_, err := RecoverStreams(cat, []io.Reader{bytes.NewReader(buf.Bytes())}, RecoverOptions{Salvage: salvage})
+		_, err := RecoverStreams(cat, []io.Reader{bytes.NewReader(buf.Bytes())}, RecoverOptions{Salvage: salvage}, 0)
 		if err == nil || !strings.Contains(err.Error(), "table 9") {
 			t.Fatalf("salvage=%v: err = %v, want schema mismatch", salvage, err)
 		}
@@ -320,7 +320,7 @@ func TestSealAndSyncMakesEpochDurable(t *testing.T) {
 	// What reached the sink so far must already salvage to epoch 2,
 	// as if the process died right after the sync.
 	cat := newCatalog()
-	res, err := RecoverStreams(cat, []io.Reader{bytes.NewReader(buf.Bytes())}, RecoverOptions{Salvage: true})
+	res, err := RecoverStreams(cat, []io.Reader{bytes.NewReader(buf.Bytes())}, RecoverOptions{Salvage: true}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,6 +48,10 @@ func (e *CorruptionError) Error() string {
 	return fmt.Sprintf("wal: %s in stream %d at byte %d: %s", kind, e.Stream, e.Offset, e.Reason)
 }
 
+// MarshalText renders the damage as its Error text, so a JSON
+// recovery report carries one readable line per damaged stream.
+func (e CorruptionError) MarshalText() ([]byte, error) { return []byte(e.Error()), nil }
+
 // appendFrame wraps payload in a length-prefixed CRC32C frame.
 func appendFrame(dst, payload []byte) []byte {
 	var hdr [frameHeaderSize]byte

@@ -34,56 +34,47 @@ type RecoverOptions struct {
 	// every commit group of a verified log, seals or not — it is
 	// the mode for logs that were closed cleanly.
 	Salvage bool
-
-	// FromEpoch skips commit groups with epoch ≤ FromEpoch instead
-	// of applying them: their effects are already present in the
-	// checkpoint the caller restored first (the checkpoint's sealed-
-	// epoch watermark). For value logs the skip is an optimization —
-	// the Thomas write rule would discard the stale writes anyway —
-	// but for command logs it is a correctness requirement: replaying
-	// a command whose effects a checkpoint already contains would
-	// double-apply it. Zero (the default) skips nothing.
-	FromEpoch uint32
 }
 
-// RecoveryResult reports what recovery did. In salvage mode it is
-// the audit trail of how much of the log survived.
+// RecoveryResult reports what log replay did. In salvage mode it is
+// the audit trail of how much of the log survived. The JSON keys are
+// those of the server's boot recovery line.
 type RecoveryResult struct {
 	// Commands holds decoded command-log entries for the caller to
 	// re-execute in timestamp order (command logging only).
-	Commands []Command
+	Commands []Command `json:"-"`
 
 	// DurableEpoch is the epoch-consistent cut: the minimum sealed
 	// epoch across all non-empty streams. Salvage mode applies
 	// exactly the commit groups with epoch ≤ DurableEpoch.
-	DurableEpoch uint32
+	DurableEpoch uint32 `json:"durable_epoch"`
 
 	// AppliedGroups counts commit groups applied to the catalog
 	// (plus command groups handed back via Commands).
-	AppliedGroups int
+	AppliedGroups int `json:"groups_applied"`
 
 	// DroppedGroups counts complete commit groups discarded in
 	// salvage mode because their epoch exceeds DurableEpoch.
-	DroppedGroups int
+	DroppedGroups int `json:"groups_dropped"`
 
-	// SkippedGroups counts commit groups below the FromEpoch
-	// watermark, already covered by the caller's checkpoint.
-	SkippedGroups int
+	// SkippedGroups counts commit groups at or below the watermark,
+	// already covered by the caller's checkpoint image.
+	SkippedGroups int `json:"groups_skipped"`
 
 	// MaxEpoch is the highest epoch observed anywhere in the intact
 	// portion of the streams — commit groups (applied, dropped or
 	// skipped), seals, and torn trailing entries. A new engine
 	// serving the recovered state must seed its epoch above it so
 	// commit timestamps stay monotone across process generations.
-	MaxEpoch uint32
+	MaxEpoch uint32 `json:"-"`
 
 	// TornGroups counts streams that ended in a record group with
 	// no commit entry (the group's entries are never applied).
-	TornGroups int
+	TornGroups int `json:"torn_tails"`
 
 	// Damage lists the per-stream corruption that truncated salvage
 	// (empty when every stream read cleanly to EOF).
-	Damage []CorruptionError
+	Damage []CorruptionError `json:"damage,omitempty"`
 }
 
 // logEntry is one decoded wire entry. For KindSeal, ts holds the
@@ -304,10 +295,23 @@ func validateAgainst(catalog *storage.Catalog, scans []*streamScan) error {
 }
 
 // RecoverStreams replays log streams into the catalog under the
-// chosen recovery contract. See RecoverOptions for the strict and
-// salvage semantics. The returned result is non-nil iff err is nil;
-// on error the catalog has not been modified.
-func RecoverStreams(catalog *storage.Catalog, streams []io.Reader, opts RecoverOptions) (*RecoveryResult, error) {
+// chosen recovery contract (see RecoverOptions for the strict and
+// salvage semantics). Value-log entries apply under the Thomas write
+// rule — a logged write lands only if its timestamp exceeds the
+// record's current one, so streams may be replayed in any order
+// (Appendix C.1); command-log entries are returned in the result for
+// the caller to re-execute, since that needs the procedure registry.
+//
+// Commit groups with epoch ≤ watermark are skipped, not applied: the
+// checkpoint image loaded first already holds their effects. For value
+// logs the skip is an optimization (the Thomas write rule would
+// discard the stale writes anyway); for command logs it is required,
+// since re-running a command the image already holds double-applies
+// it. Zero skips nothing.
+//
+// The returned result is non-nil iff err is nil; on error the catalog
+// has not been modified.
+func RecoverStreams(catalog *storage.Catalog, streams []io.Reader, opts RecoverOptions, watermark uint32) (*RecoveryResult, error) {
 	scans := make([]*streamScan, len(streams))
 	for i, s := range streams {
 		sc, err := scanStream(i, s)
@@ -360,7 +364,7 @@ func RecoverStreams(catalog *storage.Catalog, streams []io.Reader, opts RecoverO
 		}
 		for _, g := range sc.groups {
 			epoch, _ := storage.SplitTS(g.ts)
-			if opts.FromEpoch > 0 && epoch <= opts.FromEpoch {
+			if watermark > 0 && epoch <= watermark {
 				res.SkippedGroups++
 				continue
 			}
@@ -380,27 +384,6 @@ func RecoverStreams(catalog *storage.Catalog, streams []io.Reader, opts RecoverO
 		}
 	}
 	return res, nil
-}
-
-// Recover is the strict-mode entry point: it replays value-log
-// streams into the catalog, applying the Thomas write rule — a
-// logged write lands only if its timestamp exceeds the record's
-// current one, so streams may be replayed in any order or in
-// parallel (Appendix C.1) — and returns command-log entries for the
-// caller to re-execute (command-logging recovery needs the procedure
-// registry, which lives in the engine).
-//
-// The contract is all-or-nothing: on any error — torn tail,
-// checksum mismatch, incomplete commit group, schema mismatch — the
-// catalog is untouched and the commands slice is nil. Use
-// RecoverStreams with RecoverOptions.Salvage to recover a crash-torn
-// log to its epoch-consistent committed prefix instead.
-func Recover(catalog *storage.Catalog, streams []io.Reader) ([]Command, error) {
-	res, err := RecoverStreams(catalog, streams, RecoverOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return res.Commands, nil
 }
 
 // applyEntry installs one value-log entry under the Thomas write

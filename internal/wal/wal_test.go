@@ -20,6 +20,16 @@ func newCatalog() *storage.Catalog {
 	return cat
 }
 
+// recoverStrict replays streams in strict mode and returns the
+// command-log entries (nil on error).
+func recoverStrict(cat *storage.Catalog, streams []io.Reader) ([]Command, error) {
+	res, err := RecoverStreams(cat, streams, RecoverOptions{}, 0)
+	if err != nil {
+		return nil, err
+	}
+	return res.Commands, nil
+}
+
 func TestValueLogRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewLogger(ValueLogging, 1, func(int) io.Writer { return &buf })
@@ -55,7 +65,7 @@ func TestValueLogRoundTrip(t *testing.T) {
 	cat := newCatalog()
 	tab, _ := cat.Table("T")
 	tab.Put(3, storage.Tuple{storage.Int(1), storage.Str("gone")}, 0)
-	cmds, err := Recover(cat, []io.Reader{bytes.NewReader(buf.Bytes())})
+	cmds, err := recoverStrict(cat, []io.Reader{bytes.NewReader(buf.Bytes())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +106,7 @@ func TestThomasWriteRule(t *testing.T) {
 	cat := newCatalog()
 	tab, _ := cat.Table("T")
 	tab.Put(1, storage.Tuple{storage.Int(0), storage.Str("")}, 0)
-	if _, err := Recover(cat, []io.Reader{bytes.NewReader(newer), bytes.NewReader(older)}); err != nil {
+	if _, err := recoverStrict(cat, []io.Reader{bytes.NewReader(newer), bytes.NewReader(older)}); err != nil {
 		t.Fatal(err)
 	}
 	rec, _ := tab.Peek(1)
@@ -128,7 +138,7 @@ func TestRecoveryOrderIndependence(t *testing.T) {
 		for _, s := range streams {
 			readers = append(readers, bytes.NewReader(s))
 		}
-		if _, err := Recover(cat, readers); err != nil {
+		if _, err := recoverStrict(cat, readers); err != nil {
 			t.Fatal(err)
 		}
 		rec, _ := tab.Peek(1)
@@ -157,7 +167,7 @@ func TestCommandLogRoundTrip(t *testing.T) {
 	_ = wl.EndCommit(ts)
 	_ = l.Close()
 
-	cmds, err := Recover(newCatalog(), []io.Reader{bytes.NewReader(buf.Bytes())})
+	cmds, err := recoverStrict(newCatalog(), []io.Reader{bytes.NewReader(buf.Bytes())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,69 +204,4 @@ func TestEpochGroupCommitFlushes(t *testing.T) {
 		t.Fatal("epoch boundary did not flush the previous group")
 	}
 	_ = l.Close()
-}
-
-func TestCheckpointRoundTrip(t *testing.T) {
-	cat := newCatalog()
-	tab, _ := cat.Table("T")
-	for i := int64(0); i < 100; i++ {
-		tab.Put(storage.Key(i), storage.Tuple{storage.Int(i), storage.Str("r")}, storage.MakeTS(1, uint32(i)))
-	}
-	// Invisible records must not be checkpointed.
-	rec, _ := tab.GetOrCreateDummy(999)
-	rec.Unpin()
-
-	var buf bytes.Buffer
-	if err := Checkpoint(cat, &buf); err != nil {
-		t.Fatal(err)
-	}
-
-	cat2 := newCatalog()
-	if err := LoadCheckpoint(cat2, bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	tab2, _ := cat2.Table("T")
-	if tab2.Len() != 100 {
-		t.Fatalf("restored %d records, want 100", tab2.Len())
-	}
-	for i := int64(0); i < 100; i++ {
-		r, ok := tab2.Peek(storage.Key(i))
-		if !ok {
-			t.Fatalf("missing key %d", i)
-		}
-		if r.Tuple()[0].Int() != i || r.Timestamp() != storage.MakeTS(1, uint32(i)) {
-			t.Fatalf("key %d corrupted", i)
-		}
-	}
-	if _, ok := tab2.Peek(999); ok {
-		t.Fatal("invisible record was checkpointed")
-	}
-}
-
-func TestCheckpointDeterministic(t *testing.T) {
-	build := func() *storage.Catalog {
-		cat := newCatalog()
-		tab, _ := cat.Table("T")
-		// Insert in different orders; images must match.
-		for _, i := range []int64{5, 1, 9, 3} {
-			tab.Put(storage.Key(i), storage.Tuple{storage.Int(i), storage.Str("s")}, uint64(i))
-		}
-		return cat
-	}
-	var a, b bytes.Buffer
-	if err := Checkpoint(build(), &a); err != nil {
-		t.Fatal(err)
-	}
-	if err := Checkpoint(build(), &b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("checkpoint image not deterministic")
-	}
-}
-
-func TestLoadCheckpointRejectsGarbage(t *testing.T) {
-	if err := LoadCheckpoint(newCatalog(), bytes.NewReader([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9})); err == nil {
-		t.Fatal("garbage accepted as checkpoint")
-	}
 }

@@ -170,18 +170,9 @@ func bootIncarnation(t *testing.T, dir string, workers int, rec *oracle.Recorder
 		t.Fatalf("open db: %v", err)
 	}
 	chaosSchema(db)
-	streams, closeAll, err := fs.BootStreams()
-	if err != nil {
-		t.Fatalf("boot streams: %v", err)
-	}
-	rep, err := db.RecoverFromWith(nil, streams, thedb.RecoverOptions{Salvage: true})
-	if cerr := closeAll(); cerr != nil && err == nil {
-		err = cerr
-	}
-	if err != nil {
+	if _, err := db.Recover(nil, thedb.RecoverOptions{Salvage: true}); err != nil {
 		t.Fatalf("recover: %v", err)
 	}
-	fs.SetRecoveredMax(rep.MaxEpoch)
 	db.Start()
 
 	srv := server.New(db, server.Config{DedupWindow: 256})
@@ -264,13 +255,14 @@ func readBack(ctx context.Context, cl *client.Client, key uint64) (cell, error) 
 // chaosClient runs one client's sequential workload through the
 // proxy, maintaining its authoritative model over its disjoint key
 // range and reconciling every ambiguous outcome.
-func chaosClient(t *testing.T, proxyAddr string, cid int, ops []statecheck.Op, progress *atomic.Int64) (map[uint64]cell, int, error) {
+func chaosClient(t *testing.T, proxyAddr string, cid int, ops []statecheck.Op, progress *atomic.Int64, dialed func()) (map[uint64]cell, int, error) {
 	cl, err := client.Dial(proxyAddr, client.Options{
 		Conns:         1,
 		RetryAttempts: 300,
 		RetryBase:     500 * time.Microsecond,
 		RetryMax:      20 * time.Millisecond,
 	})
+	dialed()
 	if err != nil {
 		return nil, 0, fmt.Errorf("client %d: dial: %w", cid, err)
 	}
@@ -362,13 +354,14 @@ func netChaosSeed(t *testing.T, seed int64) {
 		err       error
 	}
 	results := make([]fleetResult, netChaosClients)
-	var wg sync.WaitGroup
+	var wg, dialed sync.WaitGroup
+	dialed.Add(netChaosClients)
 	for cid := 0; cid < netChaosClients; cid++ {
 		wg.Add(1)
 		go func(cid int) {
 			defer wg.Done()
 			ops := statecheck.GenOps(seed*131+int64(cid), netChaosOps, netChaosKeys)
-			m, amb, err := chaosClient(t, proxy.Addr(), cid, ops, &progress)
+			m, amb, err := chaosClient(t, proxy.Addr(), cid, ops, &progress, dialed.Done)
 			results[cid] = fleetResult{model: m, ambiguous: amb, err: err}
 		}(cid)
 	}
@@ -378,6 +371,11 @@ func netChaosSeed(t *testing.T, seed int64) {
 	// incarnation recovers from it and the proxy is retargeted, so
 	// in-flight client retries land on a server with a different
 	// incarnation and an empty dedup window — the ambiguity path.
+	//
+	// Restarts wait until every client has dialed: Dial validates the
+	// server with one handshake and does not retry, so a client whose
+	// first dial met a restart would fail for the harness's timing.
+	dialed.Wait()
 	restarts := 0
 	for _, target := range []int64{total / 3, 2 * total / 3} {
 		for progress.Load() < target {

@@ -254,27 +254,12 @@ func tortureSeed(t *testing.T, seed int64) {
 		t.Fatalf("%s: reopen: %v", label, err)
 	}
 	defer fs2.Close()
-	db2, err := Open(Config{Protocol: Healing, Workers: 1})
+	db2, err := Open(Config{Protocol: Healing, Workers: 1, WALSet: fs2})
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
 	tortureSchema(db2)
-	info, err := db2.RestoreCheckpoint(dir)
-	if err != nil {
-		t.Fatalf("%s: restore: %v", label, err)
-	}
-	var fromEpoch uint32
-	if info != nil {
-		fromEpoch = info.Watermark
-	}
-	streams, closeAll, err := fs2.BootStreams()
-	if err != nil {
-		t.Fatalf("%s: boot streams: %v", label, err)
-	}
-	rep, err := db2.RecoverFromWith(nil, streams, RecoverOptions{Salvage: true, FromEpoch: fromEpoch})
-	if cerr := closeAll(); cerr != nil {
-		t.Fatalf("%s: closing streams: %v", label, cerr)
-	}
+	rep, err := db2.Recover(nil, RecoverOptions{Salvage: true})
 	if err != nil {
 		t.Fatalf("%s: recovery: %v", label, err)
 	}
@@ -313,8 +298,8 @@ func tortureSeed(t *testing.T, seed int64) {
 	// No lost acked commits: everything at or below the durable cut
 	// must be inside the surviving prefix.
 	cut := rep.DurableEpoch
-	if info != nil && info.Watermark > cut {
-		cut = info.Watermark
+	if rep.CheckpointPath != "" && rep.Watermark > cut {
+		cut = rep.Watermark
 	}
 	floor := 0
 	for i, e := range epochs {
@@ -327,7 +312,7 @@ func tortureSeed(t *testing.T, seed int64) {
 			label, applied, floor, cut)
 	}
 	t.Logf("%s: %d/%d ops survived, durable floor %d, checkpoint=%v, groups applied=%d skipped=%d",
-		label, applied, len(ops), floor, info != nil, rep.AppliedGroups, rep.SkippedGroups)
+		label, applied, len(ops), floor, rep.CheckpointPath != "", rep.AppliedGroups, rep.SkippedGroups)
 }
 
 func seqTab2(db *DB) *storage.Table {

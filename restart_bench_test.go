@@ -99,11 +99,11 @@ func runRestartCase(t *testing.T, txns int, withCkpt bool) restartCase {
 		// generation; the second's watermark has passed the rotated
 		// generation's top epoch, so the whole history generation is
 		// truncated. Then a fixed-size tail commits after the image.
-		if _, err := db.Checkpoint(dir); err != nil {
+		if _, err := db.Checkpoint(); err != nil {
 			t.Fatalf("checkpoint: %v", err)
 		}
 		time.Sleep(20 * time.Millisecond) // let the durable frontier pass the rotated generation
-		info, err := db.Checkpoint(dir)
+		info, err := db.Checkpoint()
 		if err != nil {
 			t.Fatalf("checkpoint: %v", err)
 		}
@@ -144,31 +144,16 @@ func runRestartCase(t *testing.T, txns int, withCkpt bool) restartCase {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db2, err := Open(Config{Protocol: Healing, Workers: 1})
+	db2, err := Open(Config{Protocol: Healing, Workers: 1, WALSet: fs2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	benchRestartSchema(db2)
-	info, err := db2.RestoreCheckpoint(dir)
-	if err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	var fromEpoch uint32
-	if info != nil {
-		fromEpoch = info.Watermark
-	}
-	streams, closeAll, err := fs2.BootStreams()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := db2.RecoverFromWith(nil, streams, RecoverOptions{Salvage: true, FromEpoch: fromEpoch})
+	rep, err := db2.Recover(nil, RecoverOptions{Salvage: true})
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
 	elapsed := time.Since(start)
-	if cerr := closeAll(); cerr != nil {
-		t.Fatal(cerr)
-	}
 
 	// Sanity: every committed transaction must be visible after
 	// restart — the newest value of the last-written key is txns-1.

@@ -231,8 +231,9 @@ type Config struct {
 
 	// WALSet, when non-nil, logs each worker into the set's rotating
 	// generation files (see OpenWALSet) instead of a fixed LogSink —
-	// the layout checkpoints can truncate. Ignored if LogSink is also
-	// set.
+	// the layout checkpoints can truncate. Checkpoint images live in
+	// the set's directory, and Recover boots from it. Its logging is
+	// ignored if LogSink is also set.
 	WALSet *WALSet
 
 	// SyncRetries bounds retries of a failed epoch log sync before
@@ -600,27 +601,6 @@ func (db *DB) ResetMetrics() {
 		return
 	}
 	db.eng.ResetMetrics()
-}
-
-// Recover replays value-log streams (Thomas write rule) and returns
-// any command-log entries found for the caller to re-execute in
-// timestamp order via Session.Run (or ReplayCommands).
-//
-// Recover is strict: every frame of every stream is checksum-verified
-// before anything is applied. On any error — a corrupt frame, a torn
-// tail, an entry referencing an unknown table or column — the catalog
-// is untouched and the returned commands slice is nil. Use
-// RecoverWith with Salvage set to recover the committed prefix of a
-// crashed log instead.
-func (db *DB) Recover(streams []io.Reader) ([]wal.Command, error) {
-	return wal.Recover(db.catalog, streams)
-}
-
-// RecoverWith replays value-log streams under explicit options,
-// returning salvage statistics alongside any command-log entries.
-// See RecoverOptions for the strict-versus-salvage contract.
-func (db *DB) RecoverWith(streams []io.Reader, opts RecoverOptions) (*RecoveryReport, error) {
-	return wal.RecoverStreams(db.catalog, streams, opts)
 }
 
 // Session is one execution thread's handle.

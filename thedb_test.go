@@ -2,12 +2,14 @@ package thedb_test
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"strings"
 	"sync"
 	"testing"
 
 	"thedb"
+	"thedb/internal/checkpoint"
 )
 
 // counterDB builds a tiny database with an Increment procedure.
@@ -157,12 +159,27 @@ func TestRegisterMismatch(t *testing.T) {
 	}
 }
 
+// imageOf renders db's visible rows as a checkpoint image: equal
+// images mean equal keys, tuples and commit timestamps.
+func imageOf(t testing.TB, db *thedb.DB) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, _, _, err := checkpoint.Write(&buf, db.Catalog(), 0, checkpoint.Scan(db.Catalog()), nil); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func TestCheckpointAndRecoverThroughAPI(t *testing.T) {
-	var log bytes.Buffer
+	dir := t.TempDir()
+	fs, err := thedb.OpenWALSet(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	db := counterDB(t, thedb.Config{
 		Protocol: thedb.Healing,
 		Workers:  1,
-		LogSink:  func(int) io.Writer { return &log },
+		WALSet:   fs,
 		LogMode:  thedb.ValueLogging,
 	})
 	db.Start()
@@ -173,44 +190,52 @@ func TestCheckpointAndRecoverThroughAPI(t *testing.T) {
 		}
 	}
 	db.Close() // flush log
-
-	var snap bytes.Buffer
-	if err := db.WriteCheckpoint(&snap); err != nil {
+	if err := fs.Close(); err != nil {
 		t.Fatal(err)
 	}
+	snap := imageOf(t, db)
 
 	// Fresh instance: initial data + log replay must reproduce state.
-	db2 := counterDB(t, thedb.Config{Protocol: thedb.Healing, Workers: 1})
-	if _, err := db2.Recover([]io.Reader{bytes.NewReader(log.Bytes())}); err != nil {
+	fs2, err := thedb.OpenWALSet(dir, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var snap2 bytes.Buffer
-	if err := db2.WriteCheckpoint(&snap2); err != nil {
+	db2 := counterDB(t, thedb.Config{Protocol: thedb.Healing, Workers: 1, WALSet: fs2})
+	if _, err := db2.Recover(nil, thedb.RecoverOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(snap.Bytes(), snap2.Bytes()) {
+	if !bytes.Equal(snap, imageOf(t, db2)) {
 		t.Fatal("recovered state differs")
 	}
+	// A quiesced checkpoint of the recovered state, for the next boot.
+	if _, err := db2.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs2.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	// Checkpoint restore path.
-	db3 := counterDB(t, thedb.Config{Protocol: thedb.Healing, Workers: 1})
-	// counterDB pre-populates; restore over a truly empty catalog:
-	db3e, _ := thedb.Open(thedb.Config{Protocol: thedb.Healing})
+	// Checkpoint restore path, over a truly empty catalog:
+	fs3, err := thedb.OpenWALSet(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs3.Close()
+	db3e, _ := thedb.Open(thedb.Config{Protocol: thedb.Healing, WALSet: fs3})
 	db3e.MustCreateTable(thedb.Schema{
 		Name:    "C",
 		Columns: []thedb.ColumnDef{{Name: "v", Kind: thedb.KindInt}},
 	})
-	if err := db3e.LoadCheckpoint(bytes.NewReader(snap.Bytes())); err != nil {
+	rep, err := db3e.Recover(nil, thedb.RecoverOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	var snap3 bytes.Buffer
-	if err := db3e.WriteCheckpoint(&snap3); err != nil {
-		t.Fatal(err)
+	if rep.CheckpointPath == "" {
+		t.Fatal("restart loaded no checkpoint image")
 	}
-	if !bytes.Equal(snap.Bytes(), snap3.Bytes()) {
+	if !bytes.Equal(snap, imageOf(t, db3e)) {
 		t.Fatal("checkpoint round trip differs")
 	}
-	_ = db3
 }
 
 func TestProtocolNames(t *testing.T) {
@@ -249,7 +274,7 @@ func TestCommandLogReplayThroughAPI(t *testing.T) {
 	// Fresh instance from the initial state: replay must rebuild the
 	// counters exactly.
 	db2 := counterDB(t, thedb.Config{Protocol: thedb.Healing, Workers: 1})
-	if err := db2.RecoverFrom(nil, []io.Reader{bytes.NewReader(log.Bytes())}); err != nil {
+	if _, err := db2.Recover([]io.Reader{bytes.NewReader(log.Bytes())}, thedb.RecoverOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	defer db2.Close()
@@ -260,6 +285,75 @@ func TestCommandLogReplayThroughAPI(t *testing.T) {
 		rb, _ := tb.Peek(k)
 		if ra.Tuple()[0].Int() != rb.Tuple()[0].Int() {
 			t.Fatalf("counter %d: live=%d replayed=%d", k, ra.Tuple()[0].Int(), rb.Tuple()[0].Int())
+		}
+	}
+}
+
+// A command log whose replay fails leaves the store half rebuilt:
+// Recover reports ErrRecoveryFailed and the database refuses all work.
+func TestRecoverPoisonsOnFailedCommandReplay(t *testing.T) {
+	var log bytes.Buffer
+	db := counterDB(t, thedb.Config{
+		Protocol: thedb.Healing,
+		Workers:  1,
+		LogSink:  func(int) io.Writer { return &log },
+		LogMode:  thedb.CommandLogging,
+	})
+	tab, _ := db.Table("C")
+	tab.Put(8, thedb.Tuple{thedb.Int(0)}, 0) // a counter the recovery target lacks
+	db.Start()
+	s := db.Session(0)
+	for _, k := range []int64{0, 8, 1} {
+		if _, err := s.Run("Incr", thedb.Int(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db2 := counterDB(t, thedb.Config{Protocol: thedb.Healing, Workers: 1})
+	_, err := db2.Recover([]io.Reader{bytes.NewReader(log.Bytes())}, thedb.RecoverOptions{})
+	if !errors.Is(err, thedb.ErrRecoveryFailed) {
+		t.Fatalf("recover error = %v, want ErrRecoveryFailed", err)
+	}
+	if _, err := db2.Session(0).Run("Incr", thedb.Int(0)); !errors.Is(err, thedb.ErrRecoveryFailed) {
+		t.Fatalf("Run on a poisoned database = %v, want ErrRecoveryFailed", err)
+	}
+}
+
+// Command replay must not log the commands again: the WAL set keeps
+// the originals until a checkpoint covers them, so a second restart
+// without one would replay both copies.
+func TestCommandReplayIsNotRelogged(t *testing.T) {
+	dir := t.TempDir()
+	for life := 0; life < 3; life++ {
+		fs, err := thedb.OpenWALSet(dir, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db := counterDB(t, thedb.Config{Protocol: thedb.Healing, Workers: 1, WALSet: fs, LogMode: thedb.CommandLogging})
+		if _, err := db.Recover(nil, thedb.RecoverOptions{}); err != nil {
+			t.Fatalf("life %d: recover: %v", life, err)
+		}
+		db.Start()
+		if life == 0 {
+			for i := 0; i < 3; i++ {
+				if _, err := db.Session(0).Run("Incr", thedb.Int(0)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		tab, _ := db.Table("C")
+		rec, _ := tab.Peek(0)
+		if got := rec.Tuple()[0].Int(); got != 3 {
+			t.Fatalf("life %d: counter = %d, want 3", life, got)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
